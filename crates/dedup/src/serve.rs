@@ -6,22 +6,29 @@
 //!
 //! * **duplicate lookups** — is this incoming report a duplicate of
 //!   something already in the database? Probes run through the blocking
-//!   index and [`fastknn::FastKnn::classify_batch`], with an O(1)
-//!   short-circuit through [`PairStore`]'s per-report member index for
-//!   reports already known to be duplicates;
+//!   index and the in-process Fast kNN kernel
+//!   ([`fastknn::serial::classify_batch`]), with an O(1) short-circuit
+//!   through [`PairStore`]'s per-report member index for reports already
+//!   known to be duplicates;
 //! * **signal queries** — how strong is a drug–event association? Answered
 //!   as a reporting odds ratio (ROR) with Bayesian shrinkage from 2×2
-//!   contingency tables maintained incrementally as sparklet aggregations
-//!   and refreshed after each ingest commit. Every query is answered from
-//!   both the raw and the deduplicated store, quantifying the ROR inflation
-//!   duplicates cause — the "why dedup matters" experiment.
+//!   contingency tables maintained incrementally and refreshed after each
+//!   ingest commit. Every query is answered from both the raw and the
+//!   deduplicated store, quantifying the ROR inflation duplicates cause —
+//!   the "why dedup matters" experiment.
 //!
-//! The performance core is an **adaptive micro-batching admission queue** on
-//! the virtual clock: requests coalesce under a batch-or-deadline policy
-//! (the batch target adapts to the observed arrival rate; queueing delay is
+//! The engine runs the batch side — bootstrap and `detect_new`, where
+//! Algorithm 2 spreads very large pair sets over test blocks and Voronoi
+//! cells. Serving submits **no engine jobs**: at [`ServeService::refresh`]
+//! it snapshots a frozen [`VoronoiPartition`] (built by the same call
+//! [`fastknn::FastKnn::fit`] makes) and classifies each micro-batch in
+//! process, with answers bit-identical to the engine's.
+//!
+//! Requests pass through an **adaptive micro-batching admission queue** on
+//! the virtual clock: they coalesce under a batch-or-deadline policy (the
+//! batch target adapts to the observed arrival rate; queueing delay is
 //! bounded by the deadline) into one contiguous [`DistBatch`] per
-//! micro-batch, so a single classify job amortises chunk dispatch across
-//! every probe in the batch — exactly like the batch-columnar operators.
+//! micro-batch, so the per-dispatch overhead is paid once per batch.
 //! Serving is read-only: the service snapshots what it needs at
 //! [`ServeService::refresh`] and never mutates the [`DedupSystem`], so
 //! ingest and serve interleave without interference.
@@ -32,14 +39,15 @@ use crate::pairing::{CorpusIndex, DistBatch};
 use crate::store::PairStore;
 use crate::system::DedupSystem;
 use adr_model::{AdrReport, ReportId};
-use fastknn::{FastKnn, FastKnnConfig};
-use sparklet::{stable_hash, Cluster, EventKind, Result, SparkletError};
+use fastknn::serial::classify_batch;
+use fastknn::{ClassifyScratch, FastKnnConfig, ScoredPair, VoronoiPartition, PAIR_DIMS};
+use sparklet::{stable_hash, EventKind, Result, RunJournal, SparkletError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use textprep::{Pipeline, TokenInterner};
 
-/// Serving knobs: the batch-or-deadline admission policy and the virtual
-/// cost model of a dispatch.
+/// Serving knobs: the batch-or-deadline admission policy, the virtual cost
+/// model of a dispatch, and the answer parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Largest micro-batch ever dispatched. `1` disables micro-batching
@@ -61,8 +69,6 @@ pub struct ServeConfig {
     pub shrinkage: f64,
     /// Capacity of the bounded signal-query memo. `0` disables it.
     pub memo_entries: usize,
-    /// Partitions for the contingency aggregation jobs.
-    pub agg_partitions: usize,
 }
 
 impl Default for ServeConfig {
@@ -75,7 +81,6 @@ impl Default for ServeConfig {
             max_candidates: 256,
             shrinkage: 0.5,
             memo_entries: 1 << 16,
-            agg_partitions: 4,
         }
     }
 }
@@ -193,13 +198,19 @@ struct ContingencyTable {
 }
 
 impl ContingencyTable {
-    fn absorb(&mut self, counts: HashMap<(u8, u32, u32), u64>, reports: u64) {
-        self.reports += reports;
-        for ((kind, x, y), n) in counts {
-            match kind {
-                0 => *self.pair.entry((x, y)).or_insert(0) += n,
-                1 => *self.drug.entry(x).or_insert(0) += n,
-                _ => *self.event.entry(x).or_insert(0) += n,
+    /// Fold in the reports `ids`: one count per drug token, per ADR token
+    /// and per (drug, ADR) combination of each report found in `corpus`.
+    fn absorb(&mut self, corpus: &CorpusIndex, ids: &[ReportId]) {
+        self.reports += ids.len() as u64;
+        for r in ids.iter().filter_map(|id| corpus.get(id)) {
+            for &d in &r.drug_tokens {
+                *self.drug.entry(d).or_insert(0) += 1;
+                for &e in &r.adr_tokens {
+                    *self.pair.entry((d, e)).or_insert(0) += 1;
+                }
+            }
+            for &e in &r.adr_tokens {
+                *self.event.entry(e).or_insert(0) += 1;
             }
         }
     }
@@ -284,7 +295,8 @@ impl SignalMemo {
 /// (refreshed after each ingest commit) plus the adaptive micro-batching
 /// admission queue and the incremental signal stores.
 pub struct ServeService {
-    cluster: Cluster,
+    /// The system's run journal: one event per micro-batch.
+    journal: RunJournal,
     config: ServeConfig,
     knn: FastKnnConfig,
     pipeline: Pipeline,
@@ -298,7 +310,13 @@ pub struct ServeService {
     corpus: CorpusIndex,
     blocking: BlockingIndex,
     store: PairStore,
-    model: Option<FastKnn>,
+    /// Frozen Voronoi partition of the store's training pairs at the last
+    /// refresh; `None` while the store holds no labelled pairs.
+    partition: Option<VoronoiPartition>,
+    /// Kernel buffers, warm across micro-batches.
+    scratch: ClassifyScratch<PAIR_DIMS>,
+    /// Kernel output of the current micro-batch.
+    scored: Vec<ScoredPair>,
     /// Contingency counts over every counted report.
     raw: ContingencyTable,
     /// Contingency contributions of excluded (later-duplicate) reports;
@@ -376,10 +394,11 @@ impl ServeRunSummary {
 
 impl ServeService {
     /// Build a service over a system's current state ([`ServeService::refresh`]
-    /// runs once, fitting the classifier and the contingency stores).
+    /// runs once, partitioning the training pairs and counting the
+    /// contingency stores).
     pub fn attach(system: &DedupSystem, config: ServeConfig) -> Result<Self> {
         let mut svc = ServeService {
-            cluster: system.cluster().clone(),
+            journal: system.cluster().journal().clone(),
             config,
             knn: system.config().knn,
             pipeline: *system.pipeline(),
@@ -387,7 +406,9 @@ impl ServeService {
             corpus: Arc::new(HashMap::new()),
             blocking: BlockingIndex::default(),
             store: PairStore::new(0, 0),
-            model: None,
+            partition: None,
+            scratch: ClassifyScratch::default(),
+            scored: Vec::new(),
             raw: ContingencyTable::default(),
             excluded_table: ContingencyTable::default(),
             counted: HashSet::new(),
@@ -406,12 +427,12 @@ impl ServeService {
     }
 
     /// Re-snapshot the system after an ingest commit: clone the interner,
-    /// blocking index and pair store, re-share the corpus `Arc`, refit the
-    /// classifier from the live labelled stores (amortised across every
-    /// serve batch until the next refresh), fold the *new* arrival-order
-    /// suffix into the contingency stores (a re-ingested report forces a
-    /// full recount — its earlier contribution may be stale), and purge the
-    /// signal memo.
+    /// blocking index and pair store, re-share the corpus `Arc`, rebuild the
+    /// Voronoi partition from the live labelled stores (amortised across
+    /// every serve batch until the next refresh), fold the *new*
+    /// arrival-order suffix into the contingency stores (a re-ingested
+    /// report forces a full recount — its earlier contribution may be
+    /// stale), and purge the signal memo. Runs no engine job.
     pub fn refresh(&mut self, system: &DedupSystem) -> Result<()> {
         self.pipeline = *system.pipeline();
         self.interner = system.interner().clone();
@@ -423,33 +444,22 @@ impl ServeService {
         let start = self.counted_len.min(order.len());
         let reingested = order.len() < self.counted_len
             || order[start..].iter().any(|id| self.counted.contains(id));
-        if reingested {
+        let start = if reingested {
             self.raw = ContingencyTable::default();
             self.excluded_table = ContingencyTable::default();
             self.counted.clear();
             self.excluded.clear();
-            let mut distinct: Vec<ReportId> = Vec::with_capacity(order.len());
-            for &id in order {
-                if self.counted.insert(id) {
-                    distinct.push(id);
-                }
-            }
-            let n = distinct.len() as u64;
-            let counts = self.count_contributions(distinct)?;
-            self.raw.absorb(counts, n);
+            0
         } else {
-            let mut fresh: Vec<ReportId> = Vec::new();
-            for &id in &order[start..] {
-                if self.counted.insert(id) {
-                    fresh.push(id);
-                }
-            }
-            if !fresh.is_empty() {
-                let n = fresh.len() as u64;
-                let counts = self.count_contributions(fresh)?;
-                self.raw.absorb(counts, n);
+            start
+        };
+        let mut fresh: Vec<ReportId> = Vec::new();
+        for &id in &order[start..] {
+            if self.counted.insert(id) {
+                fresh.push(id);
             }
         }
+        self.raw.absorb(&self.corpus, &fresh);
         self.counted_len = order.len();
 
         // Newly known duplicate pairs exclude their later (hi) member from
@@ -460,58 +470,17 @@ impl ServeService {
                 newly_excluded.push(pid.hi);
             }
         }
-        if !newly_excluded.is_empty() {
-            newly_excluded.sort_unstable();
-            newly_excluded.dedup();
-            let n = newly_excluded.len() as u64;
-            let counts = self.count_contributions(newly_excluded)?;
-            self.excluded_table.absorb(counts, n);
-        }
+        newly_excluded.sort_unstable();
+        newly_excluded.dedup();
+        self.excluded_table.absorb(&self.corpus, &newly_excluded);
 
         // Any commit may have changed any contingency cell.
         self.memo.purge();
 
         let train = self.store.training_pairs();
-        self.model = if train.is_empty() {
-            None
-        } else {
-            Some(FastKnn::fit(&self.cluster, &train, self.knn)?)
-        };
+        self.partition =
+            (!train.is_empty()).then(|| VoronoiPartition::build(&train, self.knn.b, self.knn.seed));
         Ok(())
-    }
-
-    /// Count the contingency contributions of `ids` as a sparklet
-    /// aggregation: one key per distinct drug token, per distinct ADR token
-    /// and per (drug, ADR) combination of each report, counted by value
-    /// across the cluster.
-    fn count_contributions(&self, ids: Vec<ReportId>) -> Result<HashMap<(u8, u32, u32), u64>> {
-        if ids.is_empty() {
-            return Ok(HashMap::new());
-        }
-        let corpus = Arc::clone(&self.corpus);
-        let parts = self.config.agg_partitions.max(1);
-        self.cluster
-            .parallelize(ids, parts)
-            .flat_map(move |id| {
-                let Some(r) = corpus.get(&id) else {
-                    return Vec::new();
-                };
-                let pairs = r.drug_tokens.len() * r.adr_tokens.len();
-                let mut keys = Vec::with_capacity(r.drug_tokens.len() + r.adr_tokens.len() + pairs);
-                for &d in &r.drug_tokens {
-                    keys.push((1u8, d, 0u32));
-                }
-                for &e in &r.adr_tokens {
-                    keys.push((2u8, e, 0u32));
-                }
-                for &d in &r.drug_tokens {
-                    for &e in &r.adr_tokens {
-                        keys.push((0u8, d, e));
-                    }
-                }
-                keys
-            })
-            .count_by_value()
     }
 
     /// Answer one signal query from the stores (memoised).
@@ -544,9 +513,8 @@ impl ServeService {
     }
 
     /// Answer one admitted micro-batch. All duplicate probes' candidate
-    /// pairs coalesce into a single contiguous column batch, so one
-    /// classify job (through the model's `ScratchPool`) amortises chunk
-    /// dispatch across the whole batch.
+    /// pairs coalesce into a single contiguous column batch, classified in
+    /// one in-process kernel call over the frozen partition.
     fn answer_batch(
         &mut self,
         requests: &[ServeRequest],
@@ -554,12 +522,12 @@ impl ServeService {
     ) -> Result<()> {
         let mut rows = DistBatch::new();
         // Row ids must be stable per (probe, candidate) — never positional.
-        // The classifier's balanced Voronoi assignment tie-breaks on the row
-        // id, so a positional id would let batch composition leak into cell
+        // The kernel's balanced Voronoi assignment tie-breaks on the row id,
+        // so a positional id would let batch composition leak into cell
         // choice and thence into scores. Hashing the pair keeps every row's
         // entire classify path identical whatever else shares the batch.
-        let mut row_meta: HashMap<u64, ((ReportId, ReportId), Vec<(usize, ReportId)>)> =
-            HashMap::new();
+        // Row id → its (probe, candidate) pair and the request slots it answers.
+        let mut row_meta: HashMap<u64, ((ReportId, ReportId), Vec<usize>)> = HashMap::new();
         for (slot, req) in requests.iter().enumerate() {
             match &req.query {
                 ServeQuery::Duplicate { report } => {
@@ -587,13 +555,13 @@ impl ServeService {
                             match row_meta.get_mut(&id) {
                                 None => {
                                     rows.push(id, &pair_distance(&processed, other), false);
-                                    row_meta.insert(id, (key, vec![(slot, cand)]));
+                                    row_meta.insert(id, (key, vec![slot]));
                                     break;
                                 }
                                 Some((existing, slots)) if *existing == key => {
                                     // Same probe offered twice in one batch:
                                     // one row answers every copy.
-                                    slots.push((slot, cand));
+                                    slots.push(slot);
                                     break;
                                 }
                                 // 64-bit collision between distinct pairs:
@@ -614,30 +582,38 @@ impl ServeService {
             }
         }
         if !rows.is_empty() {
-            let model = self.model.as_ref().ok_or_else(|| {
+            let partition = self.partition.as_ref().ok_or_else(|| {
                 SparkletError::User(
                     "serve: no trained model — refresh from a bootstrapped system".into(),
                 )
             })?;
             // Per-row independent, so each request's matches are identical
             // whatever else shares the batch.
-            for s in model.classify_batch(&rows)? {
-                let (_, slots) = &row_meta[&s.id];
-                for &(slot, cand) in slots {
+            classify_batch(
+                partition,
+                &rows,
+                self.knn.k,
+                self.knn.theta,
+                &mut self.scratch,
+                &mut self.scored,
+            );
+            for s in &self.scored {
+                let ((_, cand), slots) = &row_meta[&s.id];
+                for &slot in slots {
                     if let Some(ServeAnswer::Duplicate { matches, .. }) = answers[slot].as_mut() {
                         matches.push(DuplicateMatch {
-                            candidate: cand,
+                            candidate: *cand,
                             score: s.score,
                             is_duplicate: s.positive,
                         });
                     }
                 }
             }
-            // Classify returns rows in id (hash) order; present candidates
-            // in candidate-id order.
+            // Present candidates in candidate-id order, whatever order the
+            // rows were built in.
             for a in answers.iter_mut() {
                 if let Some(ServeAnswer::Duplicate { matches, .. }) = a {
-                    matches.sort_by(|x, y| x.candidate.cmp(&y.candidate));
+                    matches.sort_by_key(|m| m.candidate);
                 }
             }
         }
@@ -651,26 +627,31 @@ impl ServeService {
     /// full (the adaptive target, `deadline_us / ema(inter-arrival)` clamped
     /// to `[1, max_batch]`) or its oldest request hits the deadline, then
     /// dispatches every request that has arrived by that moment (capped at
-    /// `max_batch`). Service time is the engine's measured stage makespan
-    /// for the batch's jobs plus the dispatch-overhead cost model — the
-    /// per-dispatch overhead is what batching amortises.
+    /// `max_batch`) and answers it in process — no engine job runs. Service
+    /// time is the dispatch cost model alone: `dispatch_overhead_us` per
+    /// batch, which batching amortises, plus `per_request_us` per request.
     ///
     /// One coalesced journal event is recorded per dispatched batch, never
     /// per request, so arbitrarily long loads stay within the journal bound.
+    ///
+    /// # Errors
+    /// [`SparkletError::User`] when the stream is not sorted by
+    /// `arrival_us`, or when a duplicate probe arrives before the store
+    /// holds any labelled pair.
     pub fn run_open_loop(&mut self, requests: &[ServeRequest]) -> Result<ServeRunSummary> {
-        assert!(
-            requests
-                .windows(2)
-                .all(|w| w[0].arrival_us <= w[1].arrival_us),
-            "open-loop stream must be sorted by arrival time"
-        );
+        if let Some(i) = requests
+            .windows(2)
+            .position(|w| w[0].arrival_us > w[1].arrival_us)
+        {
+            return Err(SparkletError::User(format!(
+                "serve: open-loop stream must be sorted by arrival time \
+                 (request {} arrives before request {i})",
+                i + 1
+            )));
+        }
         let n = requests.len();
         let mut answers: Vec<Option<ServeAnswer>> = vec![None; n];
         let mut latencies: Vec<u64> = vec![0; n];
-        let slots = {
-            let c = self.cluster.config();
-            (c.num_executors * c.cores_per_executor).max(1)
-        };
         let cap = self.config.max_batch.max(1);
         let mut free_at: u64 = 0;
         // Arrival-rate estimate (µs between arrivals, integer EMA). Starts
@@ -711,31 +692,23 @@ impl ServeService {
             }
             let memo_lookups0 = self.memo.lookups();
             let memo_hits0 = self.memo.hits();
-            let stages_seen = self.cluster.clock().stages().len();
             self.answer_batch(&requests[i..end], &mut answers[i..end])?;
-            let engine_us: u64 = self.cluster.clock().stages()[stages_seen..]
-                .iter()
-                .map(|s| s.makespan_us(slots))
-                .sum();
             let batch_len = (end - i) as u64;
-            let service_us = self.config.dispatch_overhead_us
-                + self.config.per_request_us * batch_len
-                + engine_us;
+            let service_us =
+                self.config.dispatch_overhead_us + self.config.per_request_us * batch_len;
             let completion = dispatch_at + service_us;
             for (j, r) in requests[i..end].iter().enumerate() {
                 latencies[i + j] = completion - r.arrival_us;
             }
-            self.cluster
-                .journal()
-                .record(EventKind::ServeBatchExecuted {
-                    batch: self.batches_served,
-                    requests: batch_len,
-                    queue_depth,
-                    memo_lookups: self.memo.lookups() - memo_lookups0,
-                    memo_hits: self.memo.hits() - memo_hits0,
-                    service_us,
-                    latency_us: completion - requests[i].arrival_us,
-                });
+            self.journal.record(EventKind::ServeBatchExecuted {
+                batch: self.batches_served,
+                requests: batch_len,
+                queue_depth,
+                memo_lookups: self.memo.lookups() - memo_lookups0,
+                memo_hits: self.memo.hits() - memo_hits0,
+                service_us,
+                latency_us: completion - requests[i].arrival_us,
+            });
             self.batches_served += 1;
             batches += 1;
             service_total += service_us;
@@ -814,7 +787,7 @@ mod tests {
             },
             ..DedupConfig::default()
         };
-        let mut sys = DedupSystem::new(Cluster::local(2), config);
+        let mut sys = DedupSystem::new(sparklet::Cluster::local(2), config);
         sys.bootstrap(&ds.reports, &ds.duplicate_pairs).unwrap();
         (sys, ds)
     }
@@ -985,6 +958,21 @@ mod tests {
         {
             assert!(a.a >= b.a, "counts only grow with more reports");
         }
+    }
+
+    #[test]
+    fn unsorted_stream_is_a_user_error() {
+        let (sys, _) = served_system(7);
+        let mut serve = ServeService::attach(&sys, ServeConfig::default()).unwrap();
+        let q = || ServeQuery::Signal {
+            drug: "panadol".into(),
+            event: "rash".into(),
+        };
+        match serve.run_open_loop(&[at(500, q()), at(100, q())]) {
+            Err(SparkletError::User(msg)) => assert!(msg.contains("sorted"), "{msg}"),
+            other => panic!("expected a user error, got {other:?}"),
+        }
+        assert_eq!(serve.memo().lookups(), 0, "nothing is answered");
     }
 
     #[test]

@@ -1,16 +1,20 @@
-//! Serial reference implementations.
+//! In-process Fast kNN and the brute-force reference.
 //!
 //! [`classify_brute`] is the ground truth the distributed Fast kNN is tested
 //! against: exact kNN over the full training set with Eq. 5 scoring.
-//! [`classify_fast_serial`] runs the same two-stage Voronoi algorithm as the
-//! distributed path but single-threaded — useful for unit-testing the
-//! algorithm without an engine, and for isolating engine effects in
-//! benchmarks.
+//! [`classify_batch`] runs the same two-stage Voronoi algorithm as the
+//! distributed path, single-threaded and without the engine, and returns
+//! **bit-identical** scores: it picks each row's cell with the same
+//! id-tie-broken [`VoronoiPartition::assign_balanced`] the engine's
+//! assignment stage uses, so sibling chunks of a rebalanced cell are chosen
+//! alike. The engine runs Algorithm 2 for batch detection (bootstrap and
+//! `detect_new`); this kernel serves the small micro-batches of
+//! `dedup::serve`, where a multi-stage job per batch would cost far more
+//! than the distances. [`classify_fast_serial`] is its row-input wrapper.
 //!
-//! Both run the candidate loops entirely in squared-distance space.
-//! [`classify_batch`] is the SoA engine underneath: every candidate scan is
-//! a tiled column-kernel sweep, and all working state lives in a caller-owned
-//! [`ClassifyScratch`] — after warm-up it performs **zero heap allocation**
+//! Every candidate scan is a tiled column-kernel sweep in squared-distance
+//! space, and all working state lives in a caller-owned [`ClassifyScratch`]
+//! — after warm-up [`classify_batch`] performs **zero heap allocation**
 //! (pinned by the `zero_alloc` integration test).
 
 use crate::prune::scan_cell_pruned;
@@ -71,10 +75,12 @@ pub fn classify_fast_serial<const D: usize>(
 ///
 /// All candidate scans run as tiled [`distances_to_point`] sweeps over the
 /// partition's SoA cells; every buffer lives in `scratch`, so a warm call
-/// allocates nothing. Results are bit-identical to the historical per-pair
-/// path: the kernels preserve the scalar accumulation order, and the
-/// neighbourhood's `(distance², id)` total order makes candidate push order
-/// irrelevant.
+/// allocates nothing. Results are bit-identical to
+/// [`crate::FastKnn::classify_batch`] on a partition built with the same
+/// `(train, b, seed)` (pinned by the `serve_batching` integration test): the
+/// kernels preserve the scalar accumulation order, the neighbourhood's
+/// `(distance², id)` total order makes candidate push order irrelevant, and
+/// the row id tie-breaks the cell choice exactly as the engine does.
 pub fn classify_batch<const D: usize>(
     partition: &VoronoiPartition<D>,
     tests: &VecBatch<D>,
@@ -92,7 +98,7 @@ pub fn classify_batch<const D: usize>(
     } = scratch;
     for i in 0..tests.len() {
         let v = tests.row(i);
-        let assigned = partition.assign(&v);
+        let assigned = partition.assign_balanced(&v, tests.id(i));
         hood.reset(k);
         let cell = &partition.negative_clusters[assigned];
         // Triangle-inequality window scan over the sorted cell — the hood

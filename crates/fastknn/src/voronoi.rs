@@ -185,27 +185,27 @@ impl<const D: usize> VoronoiPartition<D> {
     /// are — pick among them by `tiebreak` (e.g. the query's id), spreading
     /// load instead of piling every query onto the first sibling.
     ///
-    /// Single pass over the centres: candidates within the tie tolerance of
-    /// the *running* minimum are collected as the minimum tightens, then the
-    /// survivors against the final minimum (still in index order) are the
-    /// tied set — the same set a second full scan would produce.
+    /// Allocation-free two-pass scan over the centres: the minimum, then the
+    /// tie count; the pick is the `tiebreak % count`-th tied centre in index
+    /// order. Distances are recomputed per pass rather than buffered; the
+    /// pick equals [`Self::assign_balanced_batch`]'s, which reads them from
+    /// its tiled kernel.
     pub fn assign_balanced(&self, v: &[f64; D], tiebreak: u64) -> usize {
         const TIE_EPS: f64 = 1e-12;
-        let mut best_d2 = f64::INFINITY;
-        let mut tied: Vec<(usize, f64)> = Vec::new();
-        for (i, c) in self.centers.iter().enumerate() {
-            let d2 = squared_euclidean_fixed(v, c);
-            if d2 < best_d2 {
-                best_d2 = d2;
-            }
-            if d2 <= best_d2 + TIE_EPS {
-                tied.push((i, d2));
-            }
-        }
-        // The running minimum only tightens, so every true tie was admitted;
-        // drop candidates the final minimum has since disqualified.
-        tied.retain(|&(_, d2)| d2 <= best_d2 + TIE_EPS);
-        tied[(tiebreak as usize) % tied.len()].0
+        let best_d2 = self
+            .centers
+            .iter()
+            .map(|c| squared_euclidean_fixed(v, c))
+            .fold(f64::INFINITY, f64::min);
+        let is_tied = |c: &[f64; D]| squared_euclidean_fixed(v, c) <= best_d2 + TIE_EPS;
+        let tied = self.centers.iter().filter(|c| is_tied(c)).count();
+        let pick = (tiebreak as usize) % tied;
+        self.centers
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| is_tied(c))
+            .nth(pick)
+            .map_or(0, |(i, _)| i)
     }
 
     /// [`Self::assign_balanced`] for a whole batch, using each row's id as
@@ -213,10 +213,9 @@ impl<const D: usize> VoronoiPartition<D> {
     /// first); `dist_scratch` is a reusable `rows × centers` distance
     /// buffer.
     ///
-    /// Per row this is a two-pass scan (min, then tie count) over distances
-    /// from the tiled kernel — the same tied set and pick as the single-pass
-    /// scalar path (see the `assign_balanced_matches_two_pass_reference`
-    /// proptest).
+    /// Per row this is the same two-pass scan (min, then tie count) as the
+    /// scalar path, over distances from the tiled kernel — the same tied set
+    /// and pick (see the `assign_balanced_batch_matches_scalar` proptest).
     pub fn assign_balanced_batch(
         &self,
         batch: &VecBatch<D>,
@@ -453,7 +452,7 @@ mod tests {
                 "point {:?} beats the hyperplane bound {bound}", x);
         }
 
-        /// The single-pass tie collection matches a naive two-pass scan.
+        /// The allocation-free scan matches a naive collect-the-ties reference.
         #[test]
         fn assign_balanced_matches_two_pass_reference(
             centers in prop::collection::vec(

@@ -67,7 +67,12 @@ fn distributed_equals_serial_equals_brute_under_fault_injection() {
             "distributed label must match brute force at id {} even with retries",
             d.id
         );
-        assert_eq!(d.positive, s.positive);
+        assert_eq!(
+            (d.score.to_bits(), d.positive),
+            (s.score.to_bits(), s.positive),
+            "distributed and in-process scores must be bit-identical at id {}",
+            d.id
+        );
         if !d.shortcut {
             assert!((d.score - b.score).abs() < 1e-9, "score at id {}", d.id);
         }

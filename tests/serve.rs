@@ -3,16 +3,18 @@
 //! Three contracts:
 //!
 //! * **answer invariance** — the admission policy (batched vs
-//!   request-at-a-time) and executor kills mid-serve must never change a
-//!   single answer bit: the answer digest is the only output that matters
-//!   and it must be policy- and fault-independent;
+//!   request-at-a-time) and executor kills during bootstrap must never
+//!   change a single answer bit: the answer digest is the only output that
+//!   matters and it must be policy- and fault-independent. Serving itself
+//!   classifies in process and submits no engine job;
 //! * **read-only serving** — interleaving serve traffic between ingest
 //!   commits must leave the ingest service's cumulative detection digest
 //!   exactly where an undisturbed (and a killed-and-recovered) run lands
 //!   it — serving reads snapshots, never system state;
 //! * **bounded accounting** — a hundred thousand signal requests coalesce
-//!   into per-batch journal events, never run an engine job, stay under
-//!   the journal cap, and surface in the job report's serve section.
+//!   into per-batch journal events, stay under the journal cap, and
+//!   surface in the job report's serve section; neither they, nor attach,
+//!   nor duplicate probes run an engine job.
 
 use adr_synth::{Dataset, QuarterlyReplay, StreamingCorpus, SynthConfig};
 use dedup::{
@@ -34,6 +36,15 @@ fn dedup_config() -> DedupConfig {
         },
         ..DedupConfig::default()
     }
+}
+
+/// Engine work submitted so far: jobs and clock stages.
+fn engine_work(sys: &DedupSystem) -> (u64, usize) {
+    let cluster = sys.cluster();
+    (
+        cluster.metrics().jobs_submitted.get(),
+        cluster.clock().stages().len(),
+    )
 }
 
 fn bootstrapped(cluster: Cluster, ds: &Dataset) -> DedupSystem {
@@ -79,21 +90,30 @@ fn mixed_requests(ds: &Dataset, n: usize) -> Vec<ServeRequest> {
 }
 
 /// The tentpole invariance: one request stream served batched, served
-/// request-at-a-time, and served batched on a cluster whose executors are
-/// killed mid-run — one digest.
+/// request-at-a-time, and served batched from a system whose executors were
+/// killed during bootstrap — one digest. Attach, serve and refresh submit
+/// no engine job.
 #[test]
 fn admission_policy_and_executor_kills_never_change_answers() {
     let ds = Dataset::generate(&SynthConfig::small(250, 15, 11));
     let requests = mixed_requests(&ds, 48);
 
     let sys = bootstrapped(Cluster::local(4), &ds);
-    let after_bootstrap = sys.job_report().virtual_us;
-    let batched = ServeService::attach(&sys, ServeConfig::default())
-        .expect("attach")
-        .run_open_loop(&requests)
-        .expect("batched run");
-    let total = sys.job_report().virtual_us;
-    assert!(total > after_bootstrap, "serving must run engine jobs");
+    let bootstrap_us = sys.job_report().virtual_us;
+    let before = engine_work(&sys);
+    let mut serve = ServeService::attach(&sys, ServeConfig::default()).expect("attach");
+    let batched = serve.run_open_loop(&requests).expect("batched run");
+    serve.refresh(&sys).expect("refresh");
+    assert_eq!(
+        serve
+            .run_open_loop(&requests)
+            .expect("run after refresh")
+            .digest,
+        batched.digest,
+        "refresh over an unchanged system changed answers"
+    );
+    assert_eq!(engine_work(&sys), before, "serving must run no engine job");
+    assert_eq!(sys.job_report().virtual_us, bootstrap_us);
 
     let single = ServeService::attach(&sys, ServeConfig::default().request_at_a_time())
         .expect("attach")
@@ -106,13 +126,13 @@ fn admission_policy_and_executor_kills_never_change_answers() {
     assert!(batched.batches < single.batches);
     assert_eq!(batched.digest, answers_digest(&batched.answers));
 
-    // Kill two of the four executors at virtual times the serve jobs will
-    // cross; lineage recomputation must reproduce every answer bit.
-    let serve_span = total - after_bootstrap;
+    // Kill two of the four executors partway through bootstrap's distance
+    // stage; recomputing the lost work must reproduce the labelled store,
+    // and the service built on it every answer bit.
     let mut cfg = ClusterConfig::local(4);
     cfg.fault = FaultConfig::disabled()
-        .kill_at_time(1, after_bootstrap + serve_span / 4)
-        .kill_at_time(2, after_bootstrap + serve_span / 2);
+        .kill_in_stage(1, "pairwise-distances", 2)
+        .kill_in_stage(2, "pairwise-distances", 5);
     let chaos_sys = bootstrapped(Cluster::new(cfg), &ds);
     let chaos = ServeService::attach(&chaos_sys, ServeConfig::default())
         .expect("attach")
@@ -250,17 +270,17 @@ fn hundred_thousand_signal_requests_stay_bounded() {
         })
         .collect();
 
-    // Attaching runs the contingency aggregation (engine jobs); the flood
-    // itself must add none.
+    // Neither attaching (contingency counts, Voronoi partition) nor the
+    // flood runs an engine job.
+    let before = engine_work(&sys);
     let mut serve = ServeService::attach(&sys, ServeConfig::default()).expect("attach");
-    let stages_before = sys.cluster().clock().stages().len();
     let events_before = sys.cluster().journal().len();
     let out = serve.run_open_loop(&requests).expect("signal flood");
     assert_eq!(out.requests(), 100_000);
     assert_eq!(
-        sys.cluster().clock().stages().len(),
-        stages_before,
-        "signal-only batches must not run engine jobs"
+        engine_work(&sys),
+        before,
+        "attach and signal batches must not run engine jobs"
     );
 
     // One coalesced event per batch, nowhere near the journal cap.
@@ -273,7 +293,7 @@ fn hundred_thousand_signal_requests_stay_bounded() {
         "100k requests must coalesce into few batches, got {}",
         out.batches
     );
-    assert!((journal.len() as usize) < RunJournal::MAX_EVENTS / 2);
+    assert!(journal.len() < RunJournal::MAX_EVENTS / 2);
 
     // The job report's serve section reflects the run.
     let report = sys.job_report();
@@ -291,4 +311,14 @@ fn hundred_thousand_signal_requests_stay_bounded() {
         report.serve.memo_hits
     );
     assert!(report.to_json().contains("\"serve\""));
+
+    // Duplicate probes classify in process: still no engine job.
+    serve
+        .run_open_loop(&mixed_requests(&ds, 48))
+        .expect("duplicate probes");
+    assert_eq!(
+        engine_work(&sys),
+        before,
+        "duplicate probes must not run engine jobs"
+    );
 }
